@@ -280,6 +280,36 @@ func BenchmarkBayesOptStep(b *testing.B) {
 	}
 }
 
+// BenchmarkBayesOptNext is one modelled acquisition step — candidate
+// pool, batched posterior, EI argmax — over a fixed history of n
+// observations. The surrogate is fitted once before the timer starts and
+// no iteration observes anything, so unlike BenchmarkBayesOptStep the
+// cost per op does not drift with b.N.
+func BenchmarkBayesOptNext(b *testing.B) {
+	space := confspace.SparkSubspace(12)
+	for _, n := range []int{25, 45, 100} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := stat.NewRNG(1)
+			bo := tuner.NewBayesOpt(space)
+			for i := 0; i < n; i++ {
+				cfg := space.Random(rng)
+				y := 0.0
+				for _, e := range space.Encode(cfg) {
+					y += (e - 0.7) * (e - 0.7)
+				}
+				y = 20*y + 0.5*rng.NormFloat64()
+				bo.Observe(tuner.Trial{Index: i, Config: cfg, Measurement: tuner.Measurement{Runtime: y}, Objective: y})
+			}
+			bo.Next(rng) // fit outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bo.Next(rng)
+			}
+		})
+	}
+}
+
 func BenchmarkGPPredictBatch(b *testing.B) {
 	b.ReportAllocs()
 	rng := stat.NewRNG(1)

@@ -130,6 +130,30 @@ func (s *Space) Random(r *rand.Rand) Config {
 	return c
 }
 
+// RandomInto draws a uniform configuration without building a Config:
+// it makes exactly the draws Random makes, in the same parameter order,
+// writing each value into vals and its unit-cube encoding (what
+// EncodeInto would produce) into unit. Both must have length Dim().
+// Acquisition pools use it to score hundreds of candidates per step from
+// flat reused buffers, materializing only the winner with FromValues.
+func (s *Space) RandomInto(r *rand.Rand, vals, unit []float64) {
+	for i, p := range s.params {
+		v := p.Random(r)
+		vals[i] = v
+		unit[i] = p.Unit(v)
+	}
+}
+
+// FromValues builds the configuration whose values, in declaration
+// order, are vals (length Dim()). Values are taken as given, not clamped.
+func (s *Space) FromValues(vals []float64) Config {
+	c := make(Config, len(s.params))
+	for i, p := range s.params {
+		c[p.Name] = vals[i]
+	}
+	return c
+}
+
 // Validate checks that cfg assigns a valid value to every declared
 // parameter and nothing else.
 func (s *Space) Validate(cfg Config) error {

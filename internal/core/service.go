@@ -670,8 +670,10 @@ func (s *Service) tuneDISC(ctx context.Context, reg Registration, cluster cloud.
 
 // warmStart fingerprints the target from its probe runs and looks for an
 // acceptable transfer source among every other workload in the store.
+// Fingerprints read only metrics and outcomes, so those reads skip the
+// configurations; only the selected source's records are read in full.
 func (s *Service) warmStart(reg Registration) (transfer.SourceSelection, []tuner.Trial) {
-	own := s.store.Query(history.Filter{Tenant: reg.Tenant, Workload: reg.Workload.Name()})
+	own := s.store.QueryWithoutConfig(history.Filter{Tenant: reg.Tenant, Workload: reg.Workload.Name()})
 	target, err := transfer.FingerprintOf(transfer.WellConfigured(own))
 	if err != nil {
 		return transfer.SourceSelection{}, nil
@@ -681,7 +683,7 @@ func (s *Service) warmStart(reg Registration) (transfer.SourceSelection, []tuner
 		if key.Tenant == reg.Tenant && key.Workload == reg.Workload.Name() {
 			continue
 		}
-		recs := s.store.Query(history.Filter{Tenant: key.Tenant, Workload: key.Workload})
+		recs := s.store.QueryWithoutConfig(history.Filter{Tenant: key.Tenant, Workload: key.Workload})
 		fp, err := transfer.FingerprintOf(transfer.WellConfigured(recs))
 		if err != nil {
 			continue

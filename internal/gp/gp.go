@@ -260,8 +260,8 @@ func (g *GP) predictBatch(xs [][]float64) (means, stds []float64) {
 			means[j] += v * a
 		}
 	}
-	v, err := g.chol.SolveForwardBatch(kstar)
-	if err != nil {
+	// The half-solve overwrites kstar, which the mean no longer needs.
+	if err := g.chol.SolveForwardBatch(kstar); err != nil {
 		for j := range means {
 			means[j], stds[j] = g.yMean, g.yStd
 		}
@@ -269,7 +269,7 @@ func (g *GP) predictBatch(xs [][]float64) (means, stds []float64) {
 	}
 	ss := make([]float64, m)
 	for i := 0; i < n; i++ {
-		row := v.RowView(i)
+		row := kstar.RowView(i)
 		for j, w := range row {
 			ss[j] += w * w
 		}

@@ -368,8 +368,8 @@ func (r *RFF) predictBatch(xs [][]float64) (means, stds []float64) {
 			means[j] += p * w
 		}
 	}
-	v, err := r.chol.SolveForwardBatch(phis)
-	if err != nil {
+	// The half-solve overwrites phis, which the mean no longer needs.
+	if err := r.chol.SolveForwardBatch(phis); err != nil {
 		for j := range means {
 			means[j], stds[j] = r.yMean, r.yStd
 		}
@@ -377,7 +377,7 @@ func (r *RFF) predictBatch(xs [][]float64) (means, stds []float64) {
 	}
 	ss := make([]float64, m)
 	for i := 0; i < d; i++ {
-		row := v.RowView(i)
+		row := phis.RowView(i)
 		for j, w := range row {
 			ss[j] += w * w
 		}

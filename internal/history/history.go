@@ -148,40 +148,54 @@ func (s *Store) Append(r Record) Record {
 // Len returns the number of records.
 func (s *Store) Len() int { return int(s.count.Load()) }
 
-// Query returns matching records in insertion order (copies). Filters
-// naming both a tenant and a workload read a single shard; broader
-// filters merge all shards.
+// Query returns matching records in insertion order (copies, each with
+// its own deep copy of Config). Filters naming both a tenant and a
+// workload read a single shard; broader filters merge all shards.
 func (s *Store) Query(f Filter) []Record {
+	out := s.query(f, false)
+	for i := range out {
+		if out[i].Config != nil {
+			out[i].Config = out[i].Config.Clone()
+		}
+	}
+	return out
+}
+
+// QueryWithoutConfig is Query for readers that never look at
+// configurations — workload fingerprinting reads the metrics of every
+// workload key on every job. It returns the same records with Config
+// nil, so no configuration is copied.
+func (s *Store) QueryWithoutConfig(f Filter) []Record {
+	return s.query(f, true)
+}
+
+// query collects the matching records in insertion order; with omitConfig
+// their Config is nil, otherwise it still aliases the stored map and the
+// caller must clone it before the records escape.
+func (s *Store) query(f Filter, omitConfig bool) []Record {
 	var out []Record
-	if f.Tenant != "" && f.Workload != "" {
-		sh := s.shardFor(f.Tenant, f.Workload)
+	collect := func(sh *shard) {
 		sh.mu.RLock()
 		for _, r := range sh.records {
 			if f.matches(r) {
+				if omitConfig {
+					r.Config = nil
+				}
 				out = append(out, r)
 			}
 		}
 		sh.mu.RUnlock()
+	}
+	if f.Tenant != "" && f.Workload != "" {
+		collect(s.shardFor(f.Tenant, f.Workload))
 	} else {
 		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.RLock()
-			for _, r := range sh.records {
-				if f.matches(r) {
-					out = append(out, r)
-				}
-			}
-			sh.mu.RUnlock()
+			collect(&s.shards[i])
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	}
 	if f.MaxN > 0 && len(out) > f.MaxN {
 		out = out[len(out)-f.MaxN:]
-	}
-	for i := range out {
-		if out[i].Config != nil {
-			out[i].Config = out[i].Config.Clone()
-		}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -59,11 +60,40 @@ func TestQueryFilters(t *testing.T) {
 func TestQueryCopiesConfigs(t *testing.T) {
 	var s Store
 	s.Append(rec("t1", "wc", 10, false))
-	out := s.Query(Filter{})
-	out[0].Config["a"] = 99
-	again := s.Query(Filter{})
-	if again[0].Config["a"] != 1 {
-		t.Error("Query aliases stored config")
+	s.Append(rec("t2", "wc", 20, false))
+	// Both read paths: the single-shard (tenant+workload) filter and the
+	// merged all-shard filter.
+	for _, f := range []Filter{{Tenant: "t1", Workload: "wc"}, {}} {
+		out := s.Query(f)
+		out[0].Config["a"] = 99
+		out[0].Config["b"] = 7
+		again := s.Query(f)
+		if len(again[0].Config) != 1 || again[0].Config["a"] != 1 {
+			t.Errorf("filter %+v: Query aliases stored config: %v", f, again[0].Config)
+		}
+	}
+}
+
+func TestQueryWithoutConfigOmitsOnlyConfig(t *testing.T) {
+	var s Store
+	s.Append(rec("t1", "wc", 10, false))
+	s.Append(rec("t1", "wc", 30, true))
+	s.Append(rec("t2", "pr", 20, false))
+	for _, f := range []Filter{{Tenant: "t1", Workload: "wc"}, {}, {Workload: "wc", SucceededOnly: true}, {MaxN: 2}} {
+		want := s.Query(f)
+		got := s.QueryWithoutConfig(f)
+		if len(got) != len(want) {
+			t.Fatalf("filter %+v: %d records, Query gave %d", f, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Config != nil {
+				t.Errorf("filter %+v: record %d carries a config", f, i)
+			}
+			want[i].Config = nil
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("filter %+v: record %d = %+v, want %+v", f, i, got[i], want[i])
+			}
+		}
 	}
 }
 

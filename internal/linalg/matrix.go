@@ -299,23 +299,23 @@ func (c *Cholesky) solveForwardInto(y, b []float64) {
 }
 
 // SolveForwardBatch solves L·Y = B for an n×m right-hand-side matrix in one
-// pass. Row i of Y is computed as a fused update over whole rows, which
-// keeps the inner loops on contiguous memory — the batched half-solve the
-// GP needs to score a whole candidate pool at once. Each column's result is
+// pass, in place: on return b holds Y. Row i of Y is computed as a fused
+// update over whole rows, which keeps the inner loops on contiguous
+// memory — the batched half-solve the GP needs to score a whole candidate
+// pool at once — and row i of B is read only before row i of Y is
+// written, so no second n×m matrix is needed. Each column's result is
 // bit-identical to SolveForward on that column.
-func (c *Cholesky) SolveForwardBatch(b *Matrix) (*Matrix, error) {
+func (c *Cholesky) SolveForwardBatch(b *Matrix) error {
 	if b.rows != c.n {
-		return nil, fmt.Errorf("%w: rhs has %d rows, want %d", ErrShape, b.rows, c.n)
+		return fmt.Errorf("%w: rhs has %d rows, want %d", ErrShape, b.rows, c.n)
 	}
 	n, m := c.n, b.cols
-	y := NewMatrix(n, m)
 	for i := 0; i < n; i++ {
 		li := c.l.data[i*n : i*n+i+1]
-		yi := y.data[i*m : (i+1)*m]
-		copy(yi, b.data[i*m:(i+1)*m])
+		yi := b.data[i*m : (i+1)*m]
 		for k := 0; k < i; k++ {
 			f := li[k]
-			yk := y.data[k*m : (k+1)*m]
+			yk := b.data[k*m : (k+1)*m]
 			for j, v := range yk {
 				yi[j] -= f * v
 			}
@@ -325,7 +325,7 @@ func (c *Cholesky) SolveForwardBatch(b *Matrix) (*Matrix, error) {
 			yi[j] /= d
 		}
 	}
-	return y, nil
+	return nil
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.

@@ -85,7 +85,7 @@ func FingerprintOf(recs []history.Record) (Fingerprint, error) {
 // read from its reasonably-configured executions, or two histories of the
 // same workload under different tuners would look dissimilar.
 func WellConfigured(recs []history.Record) []history.Record {
-	var ok []history.Record
+	ok := make([]history.Record, 0, len(recs))
 	for _, r := range recs {
 		if !r.Failed {
 			ok = append(ok, r)
@@ -100,7 +100,7 @@ func WellConfigured(recs []history.Record) []history.Record {
 	}
 	sort.Float64s(times)
 	median := times[len(times)/2]
-	var out []history.Record
+	out := make([]history.Record, 0, len(ok))
 	for _, r := range ok {
 		if r.RuntimeS <= median {
 			out = append(out, r)

@@ -69,10 +69,10 @@ type BayesOpt struct {
 	// proposals. Exposed to sessions through the acqTimed interface.
 	lastAcqSec float64
 
-	// Reused acquisition buffers: candidate pool, flat unit-cube encodings
-	// (with per-candidate views), and expected-improvement values. They are
-	// scratch space overwritten on every Next call.
-	candBuf []confspace.Config
+	// Reused acquisition buffers: flat candidate values, their unit-cube
+	// encodings (with per-candidate views), and expected-improvement
+	// values. They are scratch space overwritten on every Next call.
+	valFlat []float64
 	encFlat []float64
 	encView [][]float64
 	eiBuf   []float64
@@ -135,26 +135,23 @@ func (t *BayesOpt) Next(rng *rand.Rand) confspace.Config {
 	best, _ := minOf(t.ys)
 	n := t.candidates()
 
-	// Draw the whole candidate pool up front. The model never touches the
-	// RNG, so consuming all draws first is the exact draw sequence of the
-	// old draw-predict-score loop.
-	if cap(t.candBuf) < n {
-		t.candBuf = make([]confspace.Config, n)
-	}
-	cands := t.candBuf[:n]
-	for i := range cands {
-		cands[i] = t.Space.Random(rng)
-	}
-
-	// Encode into one reused flat buffer with per-candidate views.
+	// Draw the whole candidate pool up front into flat reused buffers:
+	// raw values and their unit-cube encodings, with per-candidate views
+	// of the encodings for the model. The model never touches the RNG, so
+	// consuming all draws first is the exact draw sequence of the old
+	// draw-predict-score loop, and RandomInto makes exactly Space.Random's
+	// draws. Only the winner becomes a Config.
 	dim := t.Space.Dim()
-	if cap(t.encFlat) < n*dim {
+	if cap(t.valFlat) < n*dim {
+		t.valFlat = make([]float64, n*dim)
 		t.encFlat = make([]float64, n*dim)
 		t.encView = make([][]float64, n)
 	}
-	flat, views := t.encFlat[:n*dim], t.encView[:n]
-	for i, cfg := range cands {
-		views[i] = t.Space.EncodeInto(cfg, flat[i*dim:(i+1)*dim:(i+1)*dim])
+	vals, flat, views := t.valFlat[:n*dim], t.encFlat[:n*dim], t.encView[:n]
+	for i := range views {
+		lo, hi := i*dim, (i+1)*dim
+		t.Space.RandomInto(rng, vals[lo:hi], flat[lo:hi])
+		views[i] = flat[lo:hi:hi]
 	}
 
 	means, stds := t.model.PredictBatch(views)
@@ -214,7 +211,7 @@ func (t *BayesOpt) Next(rng *rand.Rand) confspace.Config {
 	if t.DecisionHook != nil {
 		t.recordDecision(means, stds, eis, best, bestIdx)
 	}
-	return cands[bestIdx]
+	return t.Space.FromValues(vals[bestIdx*dim : (bestIdx+1)*dim])
 }
 
 // lastAcqSeconds implements acqTimed.
